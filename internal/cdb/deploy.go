@@ -212,9 +212,9 @@ func Deploy(s *sim.Sim, prof Profile, opts Options) (*Deployment, error) {
 			d.links = append(d.links, cfg.Link)
 			from := "rw"
 			if d.Cluster != nil {
-				from = shortName(d.Cluster.RW())
+				from = ShortName(d.Cluster.RW())
 			}
-			d.Net.Register(from, shortName(target), cfg.Link)
+			d.Net.Register(from, ShortName(target), cfg.Link)
 		}
 		st := replication.NewStream(s, cfg, target)
 		if d.Remote != nil {
@@ -240,7 +240,7 @@ func Deploy(s *sim.Sim, prof Profile, opts Options) (*Deployment, error) {
 	rw.GrantEpoch(d.Fence.Epoch())
 	d.Cluster.SetFence(d.Fence)
 	d.Cluster.SetReachable(func(n *node.Node) bool {
-		sn := shortName(n)
+		sn := ShortName(n)
 		return d.Net.Reachable("ctrl", sn) && d.Net.Reachable(sn, "ctrl")
 	})
 	if opts.Tracer != nil {
@@ -304,9 +304,9 @@ func (d *Deployment) makeBackend(name string) node.StorageBackend {
 	return store
 }
 
-// shortName strips the profile prefix from a node name ("rds/rw" -> "rw"),
+// ShortName strips the profile prefix from a node name ("rds/rw" -> "rw"),
 // matching the deployment's netsim endpoint names.
-func shortName(n *node.Node) string {
+func ShortName(n *node.Node) string {
 	name := n.Name
 	if i := strings.LastIndexByte(name, '/'); i >= 0 {
 		name = name[i+1:]
@@ -340,7 +340,7 @@ func (d *Deployment) StartDetector() {
 // ClientReachable reports whether client traffic currently reaches a node —
 // the resilient client's reachability hook (core.Config.Reachable).
 func (d *Deployment) ClientReachable(n *node.Node) bool {
-	sn := shortName(n)
+	sn := ShortName(n)
 	return d.Net.Reachable("client", sn) && d.Net.Reachable(sn, "client")
 }
 

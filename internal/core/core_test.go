@@ -274,7 +274,7 @@ func TestRunnerRoutesFailuresToErrors(t *testing.T) {
 		Name: "w", Seed: 7, Mix: MixReadWrite,
 		Write:     func() *node.Node { return n },
 		Read:      func() *node.Node { return n },
-		Collector: col, RetryBackoff: 50 * time.Millisecond,
+		Collector: col, Retry: RetryPolicy{BackoffBase: 50 * time.Millisecond},
 	})
 	s.Go("ctl", func(p *sim.Proc) {
 		r.SetConcurrency(4)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBackoffForCapsExponent(t *testing.T) {
-	p := RetryPolicy{}.withDefaults(0)
+	p := RetryPolicy{}.withDefaults()
 	if got := p.backoffFor(0); got != 100*time.Millisecond {
 		t.Fatalf("attempt 0 backoff = %v", got)
 	}
@@ -26,7 +26,7 @@ func TestBackoffForCapsExponent(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	pol := RetryPolicy{BreakerThreshold: 2, BreakerCooldown: time.Second}.withDefaults(0)
+	pol := RetryPolicy{BreakerThreshold: 2, BreakerCooldown: time.Second}.withDefaults()
 	b := &Breaker{pol: pol}
 
 	if ok, _ := b.Allow(0); !ok || b.State() != "closed" {

@@ -89,9 +89,6 @@ type Config struct {
 	Reachable func(*node.Node) bool
 	// Collector receives commits/errors; required.
 	Collector *Collector
-	// RetryBackoff is the base client backoff after a failed request; kept
-	// for compatibility, it seeds Retry.BackoffBase. Default 100 ms.
-	RetryBackoff time.Duration
 	// Retry tunes the resilient client (backoff, attempt budget, breaker);
 	// zero fields take defaults (see RetryPolicy).
 	Retry RetryPolicy
@@ -146,7 +143,7 @@ func NewRunner(s *sim.Sim, cfg Config) *Runner {
 	r := &Runner{
 		s:          s,
 		cfg:        cfg,
-		pol:        cfg.Retry.withDefaults(cfg.RetryBackoff),
+		pol:        cfg.Retry.withDefaults(),
 		group:      sim.NewGroup(s),
 		activeCond: sim.NewCond(s),
 		breakers:   make(map[*node.Node]*Breaker),

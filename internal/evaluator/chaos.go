@@ -87,12 +87,10 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	s := sim.New(simEpoch)
 	prof := cdb.ProfileFor(cfg.Kind)
 	prof.Replication.DropEveryNth = cfg.BreakReplayEveryNth
-	d := cdb.MustDeploy(s, prof, cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-		Tracer:     cfg.Tracer,
-	})
+	d := gauntletDeploy(s, prof, cdb.Options{SF: cfg.SF, Seed: cfg.Seed, Tracer: cfg.Tracer})
 
+	// The recorder watches the RW only: chaos never promotes, so every
+	// write transaction runs there.
 	rec := check.NewRecorder()
 	d.RW().DB.SetObserver(rec)
 
@@ -100,16 +98,7 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	if cfg.Schedule != nil {
 		sched = *cfg.Schedule
 	}
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster: d.Cluster,
-		Links:   d.Links(),
-		Net:     d.Net,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		panic("evaluator: chaos schedule: " + err.Error())
-	}
-	inj.Start()
+	inj := startSchedule(s, d, sched, chaos.Targets{Seed: cfg.Seed})
 
 	col := core.NewCollector()
 	r := core.NewRunner(s, core.Config{
@@ -120,27 +109,13 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	})
 
 	var quiesce time.Duration
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
+	runControl(s, "chaos", func(p *sim.Proc) {
+		trafficWindow(p, r, cfg.Concurrency, cfg.Span)
 		stopAt := p.Elapsed()
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
+		drainReplication(p, d, 10*time.Millisecond)
 		quiesce = p.Elapsed() - stopAt
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: chaos run: " + err.Error())
-	}
 
 	res := ChaosResult{
 		Kind:        cfg.Kind,
@@ -153,20 +128,11 @@ func RunChaos(cfg ChaosConfig) ChaosResult {
 	for _, n := range d.Nodes() {
 		res.InjectedFaults += n.InjectedFaults()
 	}
-
-	rwDB := d.RW().DB
 	res.Verdicts = append(res.Verdicts,
 		check.Conservation(rec),
-		check.RowBalance(rec, rwDB),
+		check.RowBalance(rec, d.RW().DB),
 		check.ReadCommitted(rec),
 	)
-	for i := 0; ; i++ {
-		m := d.Cluster.Replica(i)
-		if m == nil {
-			break
-		}
-		name := "ro" + string(rune('0'+i))
-		res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-	}
+	res.Verdicts = append(res.Verdicts, memberVerdicts(d, false)...)
 	return res
 }

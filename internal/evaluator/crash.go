@@ -1,7 +1,6 @@
 package evaluator
 
 import (
-	"strings"
 	"time"
 
 	"cloudybench/internal/cdb"
@@ -116,10 +115,7 @@ func (r CrashResult) Passed() bool { return check.AllPassed(r.Verdicts) }
 func RunCrash(cfg CrashConfig) CrashResult {
 	cfg = cfg.withDefaults()
 	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-	})
+	d := gauntletDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{SF: cfg.SF, Seed: cfg.Seed})
 
 	rec := check.NewRecorder()
 	for _, m := range d.Cluster.Members() {
@@ -131,24 +127,8 @@ func RunCrash(cfg CrashConfig) CrashResult {
 	if cfg.Schedule != nil {
 		sched = *cfg.Schedule
 	}
-	injectAt := cfg.Span // falls past the window if no crash is scheduled
-	for _, ev := range sched.Events {
-		if ev.Kind == chaos.NodeCrash {
-			injectAt = ev.At
-			break
-		}
-	}
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster:       d.Cluster,
-		Links:         d.Links(),
-		Net:           d.Net,
-		Seed:          cfg.Seed,
-		CrashRecovery: cfg.Recovery,
-	})
-	if err != nil {
-		panic("evaluator: crash schedule: " + err.Error())
-	}
-	inj.Start()
+	injectAt := firstAt(sched, cfg.Span, chaos.NodeCrash)
+	inj := startSchedule(s, d, sched, chaos.Targets{Seed: cfg.Seed, CrashRecovery: cfg.Recovery})
 	d.StartDetector()
 
 	col := core.NewCollector()
@@ -161,42 +141,23 @@ func RunCrash(cfg CrashConfig) CrashResult {
 		Collector:      col,
 	})
 
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
+	runControl(s, "crash", func(p *sim.Proc) {
+		trafficWindow(p, r, cfg.Concurrency, cfg.Span)
 		// The last kill lands near the end of the traffic window: keep the
-		// cluster running until every member is back in service, with a
-		// virtual deadline so a wedged recovery cannot hang the run.
-		allRunning := func() bool {
+		// cluster running until every member is back in service.
+		awaitRecovery(p, func() bool {
 			for _, m := range d.Cluster.Members() {
 				if m.Node.State() != node.Running {
 					return false
 				}
 			}
 			return true
-		}
-		deadline := p.Elapsed() + 2*time.Minute
-		for p.Elapsed() < deadline && !allRunning() {
-			p.Sleep(500 * time.Millisecond)
-		}
+		})
 		// Quiesce replication: the resynced replica drains any backlog that
 		// accumulated while it was down.
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
+		drainReplication(p, d, 10*time.Millisecond)
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: crash run: " + err.Error())
-	}
 
 	res := CrashResult{
 		Kind:      cfg.Kind,
@@ -225,15 +186,6 @@ func RunCrash(cfg CrashConfig) CrashResult {
 		check.Conservation(rec),
 		check.ReadCommitted(rec),
 	)
-	for _, m := range d.Cluster.Members() {
-		name := m.Node.Name
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		res.Verdicts = append(res.Verdicts, check.IndexCoherent(name, m.Node.DB))
-		if m.Node != d.RW() {
-			res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-		}
-	}
+	res.Verdicts = append(res.Verdicts, memberVerdicts(d, true)...)
 	return res
 }

@@ -102,7 +102,7 @@ func RunElasticity(cfg ElasticityConfig) ElasticityResult {
 	if costEnd < patternEnd {
 		costEnd = patternEnd
 	}
-	s.Go("ctl", func(p *sim.Proc) {
+	runControl(s, "elasticity", func(p *sim.Proc) {
 		for _, c := range cons {
 			r.SetConcurrency(c)
 			p.Sleep(slot)
@@ -118,9 +118,6 @@ func RunElasticity(cfg ElasticityConfig) ElasticityResult {
 		}
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: elasticity run: " + err.Error())
-	}
 
 	breakdown := d.RUCBreakdown(0, costEnd)
 	elasticPerMin := (breakdown.CPU + breakdown.Memory + breakdown.IOPS) / costEnd.Minutes()

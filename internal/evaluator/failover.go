@@ -70,24 +70,22 @@ type FailoverResult struct {
 func RunFailover(cfg FailoverConfig) FailoverResult {
 	cfg = cfg.withDefaults()
 	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-	})
+	d := gauntletDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{SF: cfg.SF, Seed: cfg.Seed})
 
 	// Write stream to the current RW (follows promotion); read stream
 	// pinned to the first replica member (whichever node fills that role).
 	writeCol, readCol := core.NewCollector(), core.NewCollector()
+	retry := core.RetryPolicy{BackoffBase: 200 * time.Millisecond}
 	writeRunner := core.NewRunner(s, core.Config{
 		Name: "writes", Seed: cfg.Seed, Mix: core.MixReadWrite,
 		Write: d.RW, Read: d.RW,
-		Collector: writeCol, RetryBackoff: 200 * time.Millisecond,
+		Collector: writeCol, Retry: retry,
 	})
 	replicaNode := func() *node.Node { return d.Cluster.Replica(0).Node }
 	readRunner := core.NewRunner(s, core.Config{
 		Name: "reads", Seed: cfg.Seed + 1, Mix: core.MixReadOnly,
 		Write: replicaNode, Read: replicaNode,
-		Collector: readCol, RetryBackoff: 200 * time.Millisecond,
+		Collector: readCol, Retry: retry,
 	})
 
 	writeCon := cfg.Concurrency / 3
@@ -95,7 +93,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 	injectAt := cfg.Baseline
 	end := injectAt + cfg.Timeout
 
-	s.Go("ctl", func(p *sim.Proc) {
+	runControl(s, "failover", func(p *sim.Proc) {
 		writeRunner.SetConcurrency(writeCon)
 		readRunner.SetConcurrency(readCon)
 		p.Sleep(injectAt)
@@ -129,9 +127,6 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		readRunner.Wait(p)
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: failover run: " + err.Error())
-	}
 
 	col := writeCol
 	if cfg.Role == cluster.RO {
@@ -147,10 +142,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 	// Stragglers draining lock queues commit a handful of transactions
 	// mid-outage, so both phase boundaries use a small baseline fraction
 	// rather than raw zero/non-zero.
-	serviceThreshold := res.BaselineTPS * 0.05
-	if serviceThreshold < 2 {
-		serviceThreshold = 2
-	}
+	serviceThreshold := availabilityFloor(res.BaselineTPS)
 	buckets := counter.Buckets(injectAt, end)
 	outage, serviceBack := -1, -1
 	for i, b := range buckets {

@@ -77,11 +77,8 @@ func RunLag(cfg LagConfig) LagResult {
 	})
 	var probeTotal time.Duration
 	var probeCount int
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Duration)
-		r.Stop()
-		r.Wait(p)
+	runControl(s, "lag", func(p *sim.Proc) {
+		trafficWindow(p, r, cfg.Concurrency, cfg.Duration)
 		// Client-observed probes: write a marker on the primary, poll the
 		// replica until the change is visible.
 		replica := d.Cluster.Replica(0).Node
@@ -97,9 +94,6 @@ func RunLag(cfg LagConfig) LagResult {
 		p.Sleep(3 * time.Second)
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: lag run: " + err.Error())
-	}
 
 	st := d.Streams()[0]
 	ins, upd, del := st.LagReservoirs()

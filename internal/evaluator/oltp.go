@@ -126,34 +126,15 @@ func runWarmup(cfg OLTPConfig) *WarmSnapshot {
 		Tracer:    cfg.Tracer,
 	})
 	snap := &WarmSnapshot{}
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Warmup)
-		r.Stop()
-		r.Wait(p)
+	runControl(s, "oltp warmup", func(p *sim.Proc) {
+		trafficWindow(p, r, cfg.Concurrency, cfg.Warmup)
 		// Quiesce replication: the snapshot must capture every warm-up
 		// commit applied on every replica, or forked cells would start with
 		// records in flight that no stream remembers.
-		for {
-			settled := true
-			for _, st := range d.Streams() {
-				shipped, applied := st.Counts()
-				if st.Backlog() != 0 || shipped != applied {
-					settled = false
-					break
-				}
-			}
-			if settled {
-				break
-			}
-			p.Sleep(time.Millisecond)
-		}
+		drainReplication(p, d, time.Millisecond)
 		snap.offset = p.Elapsed()
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: oltp warmup: " + err.Error())
-	}
 	for _, n := range d.Nodes() {
 		snap.nodes = append(snap.nodes, nodeWarmState{db: n.DB.Snapshot(), buf: n.Buf.Snapshot()})
 	}
@@ -205,16 +186,10 @@ func RunOLTP(cfg OLTPConfig) OLTPResult {
 		Collector: col,
 		Tracer:    cfg.Tracer,
 	})
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Measure)
-		r.Stop()
-		r.Wait(p)
+	runControl(s, "oltp", func(p *sim.Proc) {
+		trafficWindow(p, r, cfg.Concurrency, cfg.Measure)
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: oltp run: " + err.Error())
-	}
 
 	from, to := snap.offset, snap.offset+cfg.Measure
 	perMin := pricing.PerMinuteBreakdown(d.ClusterPackage())

@@ -126,10 +126,7 @@ func firstMarkAfter(tl []cluster.PhaseEvent, at time.Duration, prefix string) ti
 func RunPartition(cfg PartitionConfig) PartitionResult {
 	cfg = cfg.withDefaults()
 	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-	})
+	d := gauntletDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{SF: cfg.SF, Seed: cfg.Seed})
 
 	rec := check.NewRecorder()
 	d.RW().DB.SetObserver(rec)
@@ -142,23 +139,8 @@ func RunPartition(cfg PartitionConfig) PartitionResult {
 	if cfg.Schedule != nil {
 		sched = *cfg.Schedule
 	}
-	injectAt := cfg.Span // falls past the window if no partition is scheduled
-	for _, ev := range sched.Events {
-		if ev.Kind == chaos.Partition || ev.Kind == chaos.AsymPartition {
-			injectAt = ev.At
-			break
-		}
-	}
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster: d.Cluster,
-		Links:   d.Links(),
-		Net:     d.Net,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		panic("evaluator: partition schedule: " + err.Error())
-	}
-	inj.Start()
+	injectAt := firstAt(sched, cfg.Span, chaos.Partition, chaos.AsymPartition)
+	inj := startSchedule(s, d, sched, chaos.Targets{Seed: cfg.Seed})
 	d.StartDetector()
 
 	col := core.NewCollector()
@@ -171,35 +153,17 @@ func RunPartition(cfg PartitionConfig) PartitionResult {
 		Collector:      col,
 	})
 
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
-		// Recovery may land past the traffic window (an RDS-style restart
-		// waits out the heal and then replays for tens of seconds): keep the
-		// cluster running until the timeline shows service restored, with a
-		// virtual deadline so a wedged recovery cannot hang the run.
-		deadline := p.Elapsed() + 2*time.Minute
-		for p.Elapsed() < deadline && !recoveredAfter(d.Cluster.Timeline(), injectAt) {
-			p.Sleep(500 * time.Millisecond)
-		}
+	runControl(s, "partition", func(p *sim.Proc) {
+		trafficWindow(p, r, cfg.Concurrency, cfg.Span)
+		// An RDS-style restart waits out the heal and then replays for tens
+		// of seconds: keep the cluster running until the timeline shows
+		// service restored.
+		awaitRecovery(p, func() bool { return recoveredAfter(d.Cluster.Timeline(), injectAt) })
 		// Quiesce replication: the healed side drains its backlog (the
 		// stopped pre-promotion stream is already balanced and stays so).
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
+		drainReplication(p, d, 10*time.Millisecond)
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: partition run: " + err.Error())
-	}
 
 	res := PartitionResult{
 		Kind:      cfg.Kind,
@@ -227,10 +191,7 @@ func RunPartition(cfg PartitionConfig) PartitionResult {
 	// Unavailability: whole-second buckets below a small fraction of the
 	// baseline (raw zero would be fooled by stragglers draining lock
 	// queues), counted across the traffic window after injection.
-	threshold := res.BaselineTPS * 0.05
-	if threshold < 2 {
-		threshold = 2
-	}
+	threshold := availabilityFloor(res.BaselineTPS)
 	for _, b := range col.TPSBuckets(injectAt, cfg.Span) {
 		if b < threshold {
 			res.Unavailable += time.Second
@@ -252,17 +213,7 @@ func RunPartition(cfg PartitionConfig) PartitionResult {
 		check.ReadCommitted(hist),
 	)
 	// Convergence: after quiesce every member must match the current RW.
-	rwDB := d.RW().DB
-	for _, m := range d.Cluster.Members() {
-		if m.Node == d.RW() {
-			continue
-		}
-		name := m.Node.Name
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-	}
+	res.Verdicts = append(res.Verdicts, memberVerdicts(d, false)...)
 	return res
 }
 

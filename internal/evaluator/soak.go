@@ -210,10 +210,8 @@ func RunSoak(cfg SoakConfig) SoakResult {
 	s := sim.New(simEpoch)
 	tl := obs.NewTimeline(string(cfg.Kind), cfg.Window)
 	tr := obs.NewTracer(string(cfg.Kind), tl)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless: cdb.Bool(false),
-		Tracer:     tr,
+	d := gauntletDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
+		SF: cfg.SF, Seed: cfg.Seed, Tracer: tr,
 		// A secondary index on the order status column: T2 payments rewrite
 		// O_STATUS, so index maintenance runs for days and the in-flight
 		// IndexCoherent sweeps judge a moving target, not an empty catalog.
@@ -224,17 +222,10 @@ func RunSoak(cfg SoakConfig) SoakResult {
 	})
 	d.Fence.SetRecording(true)
 
-	sched := SoakSchedule(cfg.Days, cfg.Window, cfg.Burst)
-	inj, err := chaos.NewInjector(s, sched, chaos.Targets{
-		Cluster: d.Cluster,
-		Links:   d.Links(),
-		Net:     d.Net,
-		Seed:    cfg.Seed,
-	})
-	if err != nil {
-		panic("evaluator: soak schedule: " + err.Error())
-	}
-	inj.Start()
+	// No failure detector: every soak fault auto-heals, and the daily
+	// primary kill recovers in place or promotes through the cluster's own
+	// crash path.
+	inj := startSchedule(s, d, SoakSchedule(cfg.Days, cfg.Window, cfg.Burst), chaos.Targets{Seed: cfg.Seed})
 
 	res := SoakResult{Kind: cfg.Kind, Days: cfg.Days, Window: cfg.Window, Timeline: tl, Agg: tr.Agg()}
 
@@ -276,7 +267,7 @@ func RunSoak(cfg SoakConfig) SoakResult {
 		attach(rec)
 	}
 
-	s.Go("ctl", func(p *sim.Proc) {
+	runControl(s, "soak", func(p *sim.Proc) {
 		for w := 0; w < totalWindows; w++ {
 			// Burst: a fresh runner per window (its own deterministic RNG
 			// streams, named by window) at the churned tenant population.
@@ -297,10 +288,7 @@ func RunSoak(cfg SoakConfig) SoakResult {
 					BackoffCap: 400 * time.Millisecond,
 				},
 			})
-			r.SetConcurrency(cfg.Concurrency * cfg.Tenants(w))
-			p.Sleep(cfg.Burst)
-			r.Stop()
-			r.Wait(p)
+			trafficWindow(p, r, cfg.Concurrency*cfg.Tenants(w), cfg.Burst)
 			res.Commits += col.Commits()
 			res.Errors += col.Errors()
 			res.Terminals += col.Terminals()
@@ -318,32 +306,11 @@ func RunSoak(cfg SoakConfig) SoakResult {
 
 		// Quiesce replication (the crashed-and-restarted replica drains its
 		// backlog), then judge the end-of-run invariants.
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
+		drainReplication(p, d, 10*time.Millisecond)
 		res.Verdicts = append(res.Verdicts, check.FenceVerdicts(d.Fence)...)
-		rwDB := d.RW().DB
-		for _, m := range d.Cluster.Members() {
-			name := m.Node.Name
-			if i := strings.LastIndexByte(name, '/'); i >= 0 {
-				name = name[i+1:]
-			}
-			res.Verdicts = append(res.Verdicts, check.IndexCoherent(name, m.Node.DB))
-			if m.Node != d.RW() {
-				res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-			}
-		}
+		res.Verdicts = append(res.Verdicts, memberVerdicts(d, true)...)
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: soak run: " + err.Error())
-	}
 
 	// Stamp the applied chaos onto the timeline, run the anomaly pass, and
 	// price each window.

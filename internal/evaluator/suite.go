@@ -3,7 +3,6 @@ package evaluator
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"cloudybench/internal/cdb"
@@ -26,11 +25,35 @@ func sortedNames(m map[string]*engine.Table) []string {
 	return names
 }
 
+// Gauntlet selects the fault gauntlet a suite run composes with.
+type Gauntlet int
+
+const (
+	// GauntletPlain runs the suite with no injected faults.
+	GauntletPlain Gauntlet = iota
+	// GauntletChaos runs the suite under the standard chaos schedule.
+	GauntletChaos
+	// GauntletPartition runs the suite under the gray-partition schedule
+	// (fail-over or await-heal restart, lease fencing, resilient client).
+	GauntletPartition
+)
+
+// String names the gauntlet as the reports print it.
+func (g Gauntlet) String() string {
+	switch g {
+	case GauntletChaos:
+		return "chaos"
+	case GauntletPartition:
+		return "partition"
+	}
+	return "plain"
+}
+
 // SuiteConfig parameterizes one registered workload suite's run on one SUT.
-// Suites compose with the same gauntlets as the Table II mix: Chaos attaches
-// the standard fault schedule, Partition the gray-partition fail-over — so
-// secondary-index maintenance is exercised under exactly the conditions the
-// invariants judge.
+// Suites compose with the same gauntlets as the Table II mix — the standard
+// chaos schedule or the gray-partition fail-over — so secondary-index
+// maintenance is exercised under exactly the conditions the invariants
+// judge.
 type SuiteConfig struct {
 	// Suite is a registered suite name (core.SuiteNames()).
 	Suite string
@@ -41,11 +64,9 @@ type SuiteConfig struct {
 	// Span is the traffic window (default 10s).
 	Span time.Duration
 	Seed int64
-	// Chaos runs the suite under the standard chaos gauntlet.
-	Chaos bool
-	// Partition runs the suite under the gray-partition gauntlet (fail-over
-	// or await-heal restart, lease fencing, resilient client).
-	Partition bool
+	// Gauntlet selects the fault schedule the suite runs under (default
+	// GauntletPlain).
+	Gauntlet Gauntlet
 	// ScanOverride intercepts every read-only suite scan — the differential
 	// harness's dual-plan hook. Nil scans through the planner normally.
 	ScanOverride core.ScanFunc
@@ -110,42 +131,23 @@ func RunSuite(cfg SuiteConfig) SuiteResult {
 	if suite == nil {
 		panic(fmt.Sprintf("evaluator: unknown suite %q (have %v)", cfg.Suite, core.SuiteNames()))
 	}
+	partition := cfg.Gauntlet == GauntletPartition
 	s := sim.New(simEpoch)
-	d := cdb.MustDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
-		SF: cfg.SF, Seed: cfg.Seed, Replicas: 1, PreWarm: true,
-		Serverless:  cdb.Bool(false),
+	d := gauntletDeploy(s, cdb.ProfileFor(cfg.Kind), cdb.Options{
+		SF: cfg.SF, Seed: cfg.Seed,
 		ExtraSchema: func(db *engine.DB) error { return suite.Tables(db, cfg.SF, cfg.Seed) },
 	})
-	if cfg.Partition {
-		d.Fence.SetRecording(true)
-	}
 
 	var inj *chaos.Injector
 	injectAt := cfg.Span
-	if cfg.Chaos || cfg.Partition {
-		sched := chaos.Standard(cfg.Span)
-		if cfg.Partition {
-			sched = PartitionSchedule(cfg.Span)
-			for _, ev := range sched.Events {
-				if ev.Kind == chaos.Partition || ev.Kind == chaos.AsymPartition {
-					injectAt = ev.At
-					break
-				}
-			}
-		}
-		var err error
-		inj, err = chaos.NewInjector(s, sched, chaos.Targets{
-			Cluster: d.Cluster,
-			Links:   d.Links(),
-			Net:     d.Net,
-			Seed:    cfg.Seed,
-		})
-		if err != nil {
-			panic("evaluator: suite schedule: " + err.Error())
-		}
-		inj.Start()
-	}
-	if cfg.Partition {
+	switch cfg.Gauntlet {
+	case GauntletChaos:
+		inj = startSchedule(s, d, chaos.Standard(cfg.Span), chaos.Targets{Seed: cfg.Seed})
+	case GauntletPartition:
+		d.Fence.SetRecording(true)
+		sched := PartitionSchedule(cfg.Span)
+		injectAt = firstAt(sched, cfg.Span, chaos.Partition, chaos.AsymPartition)
+		inj = startSchedule(s, d, sched, chaos.Targets{Seed: cfg.Seed})
 		d.StartDetector()
 	}
 
@@ -161,34 +163,15 @@ func RunSuite(cfg SuiteConfig) SuiteResult {
 		ScanOverride:   cfg.ScanOverride,
 	})
 
-	s.Go("ctl", func(p *sim.Proc) {
-		r.SetConcurrency(cfg.Concurrency)
-		p.Sleep(cfg.Span)
-		r.Stop()
-		r.Wait(p)
-		if cfg.Partition {
-			// Keep the cluster running until write service is restored, so
-			// the post-fail-over index state is judged, not the mid-outage
-			// one (bounded by a virtual deadline).
-			deadline := p.Elapsed() + 2*time.Minute
-			for p.Elapsed() < deadline && !recoveredAfter(d.Cluster.Timeline(), injectAt) {
-				p.Sleep(500 * time.Millisecond)
-			}
+	runControl(s, "suite", func(p *sim.Proc) {
+		trafficWindow(p, r, cfg.Concurrency, cfg.Span)
+		if partition {
+			// Judge the post-fail-over index state, not the mid-outage one.
+			awaitRecovery(p, func() bool { return recoveredAfter(d.Cluster.Timeline(), injectAt) })
 		}
-		for _, st := range d.Streams() {
-			for {
-				shipped, applied := st.Counts()
-				if st.Backlog() == 0 && shipped == applied {
-					break
-				}
-				p.Sleep(10 * time.Millisecond)
-			}
-		}
+		drainReplication(p, d, 10*time.Millisecond)
 		d.Shutdown()
 	})
-	if err := s.Run(); err != nil {
-		panic("evaluator: suite run: " + err.Error())
-	}
 
 	res := SuiteResult{
 		Suite:     cfg.Suite,
@@ -223,19 +206,9 @@ func RunSuite(cfg SuiteConfig) SuiteResult {
 
 	// Verdicts: the lease trio (partition only), index coherence on every
 	// node, convergence on every replica.
-	if cfg.Partition {
+	if partition {
 		res.Verdicts = append(res.Verdicts, check.FenceVerdicts(d.Fence)...)
 	}
-	rwDB := d.RW().DB
-	for _, m := range d.Cluster.Members() {
-		name := m.Node.Name
-		if i := strings.LastIndexByte(name, '/'); i >= 0 {
-			name = name[i+1:]
-		}
-		res.Verdicts = append(res.Verdicts, check.IndexCoherent(name, m.Node.DB))
-		if m.Node != d.RW() {
-			res.Verdicts = append(res.Verdicts, check.Convergence(name, rwDB, m.Node.DB))
-		}
-	}
+	res.Verdicts = append(res.Verdicts, memberVerdicts(d, true)...)
 	return res
 }

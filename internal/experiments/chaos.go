@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cloudybench/internal/chaos"
 	"cloudybench/internal/evaluator"
 	"cloudybench/internal/report"
 )
@@ -24,25 +25,17 @@ func Chaos(sc Scale) (string, []evaluator.ChaosResult) {
 		"System", "Verdict", "Commits", "Errors", "Faults", "TPS", "Quiesce")
 	var detail strings.Builder
 	for _, r := range results {
-		kind := r.Kind
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
-		tbl.AddRow(string(kind), verdict,
+		tbl.AddRow(string(r.Kind), passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Errors),
 			fmt.Sprintf("%d", len(r.Applied)),
 			report.F(r.TPS),
 			report.Dur(r.QuiesceTime))
-		fmt.Fprintf(&detail, "\n%s invariants:\n", kind)
-		for _, v := range r.Verdicts {
-			fmt.Fprintf(&detail, "  %-18s %s\n", v.Name, v)
-		}
+		writeVerdicts(&detail, r.Kind, r.Verdicts)
 	}
 	var b strings.Builder
 	b.WriteString(tbl.String())
 	b.WriteString(detail.String())
-	b.WriteString("\nFault schedule (per run): disk-stall(rw), cache-drop(rw), link-degrade(all), io-error-burst(rw), replica-crash(ro0), node-pause(rw), disk-stall(ro0)\n")
+	fmt.Fprintf(&b, "\nFault schedule (per run): %s\n", faultList(chaos.Standard(sc.ChaosSpan)))
 	return b.String(), results
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"cloudybench/internal/evaluator"
 	"cloudybench/internal/report"
@@ -32,10 +31,6 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 		"System", "Verdict", "Commits", "Term", "Reroute", "Fenced", "Epoch", "Kills", "Torn", "Redo", "Undo")
 	var detail strings.Builder
 	for _, r := range results {
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
 		// A kill landing while the node is still mid-recovery is recorded as
 		// a skipped no-op (zero stats); the table counts only real crashes.
 		fired, torn, redo, undo := 0, 0, 0, 0
@@ -50,7 +45,7 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 			redo += c.Stats.RedoSince
 			undo += c.Stats.UndoRecords
 		}
-		tbl.AddRow(string(r.Kind), verdict,
+		tbl.AddRow(string(r.Kind), passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Terminals),
 			fmt.Sprintf("%d", r.Reroutes),
@@ -61,10 +56,7 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 			fmt.Sprintf("%d", redo),
 			fmt.Sprintf("%d", undo))
 
-		fmt.Fprintf(&detail, "\n%s invariants:\n", r.Kind)
-		for _, v := range r.Verdicts {
-			fmt.Fprintf(&detail, "  %-18s %s\n", v.Name, v)
-		}
+		writeVerdicts(&detail, r.Kind, r.Verdicts)
 		fmt.Fprintf(&detail, "%s kills:\n", r.Kind)
 		for _, c := range r.Crashes {
 			switch {
@@ -94,9 +86,7 @@ func Crash(sc Scale) (string, []evaluator.CrashResult) {
 	var b strings.Builder
 	b.WriteString(tbl.String())
 	b.WriteString(detail.String())
-	frac := func(f float64) time.Duration { return time.Duration(float64(sc.CrashSpan) * f) }
-	fmt.Fprintf(&b, "\nCrash schedule (per run): kill rw@%v (torn tail), ro0@%v (resync), rw@%v, rw@%v (torn tail)\n",
-		frac(0.25), frac(0.45), frac(0.65), frac(0.85))
+	fmt.Fprintf(&b, "\nCrash schedule (per run): %s\n", killList(evaluator.CrashSchedule(sc.CrashSpan)))
 	b.WriteString("Redo/Undo are records actually replayed/rolled back by recovery — the inputs recovery time is priced from\n")
 	return b.String(), results
 }

@@ -32,11 +32,6 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 		"System", "Verdict", "MTTD", "MTTR", "Unavail", "Commits", "Term", "Reroute", "Fenced", "Epoch", "dO")
 	var detail strings.Builder
 	for _, r := range results {
-		kind := r.Kind
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
 		// FPart enters the O-Score denominator: O' = O - SF*lg(FPart seconds).
 		// dO is that per-system penalty (SF=1 here); "-" means the partition
 		// never interrupted write service, so the published O-Score stands.
@@ -45,7 +40,7 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 		if fpart > 0 {
 			deltaO = fmt.Sprintf("%+.2f", -math.Log10(fpart.Seconds()))
 		}
-		tbl.AddRow(string(kind), verdict,
+		tbl.AddRow(string(r.Kind), passFail(r.Passed()),
 			report.Dur(r.MTTD), report.Dur(r.MTTR), report.Dur(r.Unavailable),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Terminals),
@@ -53,10 +48,7 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 			fmt.Sprintf("%d", r.Fenced),
 			fmt.Sprintf("%d", r.Epoch),
 			deltaO)
-		fmt.Fprintf(&detail, "\n%s invariants:\n", kind)
-		for _, v := range r.Verdicts {
-			fmt.Fprintf(&detail, "  %-18s %s\n", v.Name, v)
-		}
+		writeVerdicts(&detail, r.Kind, r.Verdicts)
 		for _, ev := range r.Timeline {
 			if strings.HasPrefix(ev.Phase, "partition") || strings.HasPrefix(ev.Phase, "fence") ||
 				strings.HasPrefix(ev.Phase, "RW' serving") || strings.HasPrefix(ev.Phase, "RW service restored") {
@@ -74,17 +66,13 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 		return evaluator.RunSuite(evaluator.SuiteConfig{
 			Suite: suiteNames[i], Kind: cdb.CDB4,
 			Span: sc.PartSpan, Concurrency: sc.PartConc, Seed: sc.Seed,
-			Partition: true,
+			Gauntlet: evaluator.GauntletPartition,
 		})
 	})
 	stbl := report.NewTable("Suite gauntlet — registered suites through the same gray partition (cdb4)",
 		"Suite", "Verdict", "Commits", "Fenced", "Epoch", "IxPut", "IxDel")
 	for _, r := range suiteResults {
-		verdict := "PASS"
-		if !r.Passed() {
-			verdict = "FAIL"
-		}
-		stbl.AddRow(r.Suite, verdict,
+		stbl.AddRow(r.Suite, passFail(r.Passed()),
 			fmt.Sprintf("%d", r.Commits),
 			fmt.Sprintf("%d", r.Fenced),
 			fmt.Sprintf("%d", r.Epoch),
@@ -97,8 +85,7 @@ func Partition(sc Scale) (string, []evaluator.PartitionResult) {
 	b.WriteString(detail.String())
 	b.WriteString("\n")
 	b.WriteString(stbl.String())
-	fmt.Fprintf(&b, "\nPartition schedule (per run): cut rw | {ctrl, ro0} at %v (gray: clients still reach rw), heal at %v\n",
-		time.Duration(float64(sc.PartSpan)*0.25), time.Duration(float64(sc.PartSpan)*0.60))
+	fmt.Fprintf(&b, "\nPartition schedule (per run): %s\n", cutList(evaluator.PartitionSchedule(sc.PartSpan)))
 	b.WriteString("dO = -SF*lg(FPart) — the partition-recovery term the MTTR adds to the O-Score denominator\n")
 	return b.String(), results
 }
